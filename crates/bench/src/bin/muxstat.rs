@@ -147,7 +147,7 @@ fn demo(tail: usize) {
     // read actually touches the rotting media). Reads over the replicated
     // blocks detect + repair; one unreplicated read ends in quarantine.
     // A full scrub pass closes the segment.
-    stack.mux.replicate_range(f.ino, 32, 8, 1).unwrap();
+    stack.mux.mirror_range(f.ino, 32, 8, 1).unwrap();
     stack.devices[0].set_fault_mode(FaultMode::BitRot { period: 1, seed: 7 });
     for b in 32..36u64 {
         stack.mux.read(f.ino, b * BLOCK, &mut buf).unwrap();

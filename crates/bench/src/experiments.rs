@@ -732,17 +732,24 @@ pub struct PolicyAblationRow {
     pub hot_on_fast: f64,
 }
 
-/// Hot/cold workload under different tiering policies; each policy runs
-/// migrations between access phases.
+/// Hot/cold workload under different placement policies, with one
+/// autotier epoch between access phases. The pinned arm pins every file
+/// to the HDD, so the planner's pin veto keeps it there.
 pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
-    let policies: Vec<(&str, Arc<dyn TieringPolicy>)> = vec![
-        ("lru", Arc::new(LruPolicy::default_watermarks())),
-        ("hot-cold", Arc::new(HotColdPolicy::new())),
-        ("tpfs", Arc::new(mux::TpfsPolicy::default())),
-        ("pinned-to-hdd (worst case)", Arc::new(PinnedPolicy::new(2))),
+    let pinned = Arc::new(PinnedPolicy::new(2));
+    let policies: Vec<(&str, Arc<dyn TieringPolicy>, Option<&PinnedPolicy>)> = vec![
+        ("lru", Arc::new(LruPolicy::default_watermarks()), None),
+        ("hot-cold", Arc::new(HotColdPolicy::new()), None),
+        ("tpfs", Arc::new(mux::TpfsPolicy::default()), None),
+        (
+            "pinned-to-hdd (worst case)",
+            pinned.clone(),
+            Some(pinned.as_ref()),
+        ),
     ];
+    let epoch_ns = mux::AutotierConfig::default().epoch_ns;
     let mut rows = Vec::new();
-    for (name, policy) in policies {
+    for (name, policy, pins) in policies {
         let stack = crate::testbed::build_mux_stack_cached(
             Capacities {
                 pm: 64 << 20, // small PM keeps placement decisions hard
@@ -764,6 +771,9 @@ pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
                 .write(ino, 0, &vec![i as u8; (file_blocks * BLOCK) as usize])
                 .unwrap();
             stack.mux.fsync(ino).unwrap();
+            if let Some(p) = pins {
+                p.pin(ino, 2);
+            }
             inos.push(ino);
         }
         let mut buf = vec![0u8; BLOCK as usize];
@@ -774,7 +784,7 @@ pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
             step += 1;
             (f * 7 + step * 13) % file_blocks
         };
-        // Access phases interleaved with policy migration passes.
+        // Access phases interleaved with autotier epochs.
         for _phase in 0..4 {
             for _ in 0..ops / 8 {
                 let f = gen.next_item();
@@ -784,7 +794,8 @@ pub fn ablation_policy(ops: usize) -> Vec<PolicyAblationRow> {
                     .read(inos[f as usize], b * BLOCK, &mut buf)
                     .unwrap();
             }
-            stack.mux.run_policy_migrations();
+            stack.clock.advance(epoch_ns);
+            stack.mux.maintenance_tick();
         }
         // Measure converged read latency on the same distribution.
         let t0 = stack.clock.now_ns();
@@ -1752,10 +1763,7 @@ fn integrity_storm(replicated: bool, blocks: u64, seed: u64) -> IntegrityStorm {
         .unwrap();
     stack.mux.fsync(ino).unwrap();
     if replicated {
-        assert_eq!(
-            stack.mux.replicate_range(ino, 0, blocks, 1).unwrap(),
-            blocks
-        );
+        assert_eq!(stack.mux.mirror_range(ino, 0, blocks, 1).unwrap(), blocks);
     }
     // The storm: every device read of the primary copy flips a stored
     // bit. Period 1 means each of the `blocks` foreground reads below is

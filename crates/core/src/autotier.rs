@@ -48,7 +48,9 @@ pub struct AutotierConfig {
     /// Epoch length in virtual ns: the planner runs at most once per
     /// epoch; ticks in between only drain the executor queue.
     pub epoch_ns: u64,
-    /// Demote until a tier's projected utilization falls below this.
+    /// Pressure demotions shed a tier down to this utilization, and cold
+    /// files on a tier at or below it stay put (paper §3.1: evict cold
+    /// data only when the faster device runs short of space).
     pub low_watermark: f64,
     /// Plan demotions off a tier above this utilization, and never plan a
     /// move that would push the *destination* above it.
@@ -134,11 +136,12 @@ impl Default for AutotierConfig {
 /// Per-inode access heat: exponentially-decayed read/write frequency
 /// unified with an [`Mglru`] recency ladder.
 ///
-/// The frequency term follows [`crate::HotColdPolicy`]'s scoring (each
-/// access adds `1 + 0.1·log2(blocks)`, writes count double); the recency
-/// term scales it by the file's MGLRU generation so a file with a large
-/// historical score that has gone quiet cools faster than decay alone
-/// would manage.
+/// Mux's only heat source: the planner ranks by it, and placement sees it
+/// as [`crate::PlacementCtx::heat`]. Each access adds
+/// `1 + 0.1·log2(blocks)` to the frequency term (writes count double);
+/// the recency term scales it by the file's MGLRU generation so a file
+/// with a large historical score that has gone quiet cools faster than
+/// decay alone would manage.
 #[derive(Debug)]
 pub struct HeatMap {
     inner: Mutex<HeatInner>,
@@ -359,6 +362,19 @@ impl PlanCtx<'_> {
 
     fn projected_free(&self, t: &TierStatus) -> u64 {
         self.free.get(&t.id).copied().unwrap_or(t.free_bytes)
+    }
+
+    /// Whether cold extents on `id` should sink: it is not the slowest
+    /// tier and its projected utilization is above the low watermark.
+    fn sheds_cold(&self, id: TierId) -> bool {
+        match self.rank(id) {
+            Some(r) if r + 1 < self.sorted.len() => {
+                let t = self.sorted[r];
+                let used = t.total_bytes.saturating_sub(self.projected_free(t));
+                t.total_bytes == 0 || used as f64 / t.total_bytes as f64 > self.cfg.low_watermark
+            }
+            _ => false,
+        }
     }
 
     /// Bytes that can land on `t` before its projected utilization would
@@ -684,9 +700,11 @@ pub fn plan_epoch(
     }
 
     // --- Cold demotions: files that cooled to the floor sink to the
-    // slowest healthy tier, keeping fast capacity for the working set.
-    // Heat decay also retires their mirrors: a cold file keeps no fast
-    // copy. ---
+    // slowest healthy tier, keeping fast capacity for the working set —
+    // but only off a tier above the low watermark (§3.1: evict cold data
+    // when the faster device runs short of space, not while it is
+    // roomy). Heat decay also retires their mirrors: a cold file keeps no
+    // fast copy. ---
     for f in files {
         let s = score_of(f.ino);
         if s > cfg.cold_threshold {
@@ -698,12 +716,7 @@ pub fn plan_epoch(
         for &(rb, rn, rt) in &f.replicas {
             cx.emit_unmirror(f.ino, rb, rn, rt);
         }
-        let slowest_rank = cx.sorted.len() - 1;
-        let has_fast_blocks = f
-            .extents
-            .iter()
-            .any(|&(_, _, tid)| cx.rank(tid).map(|r| r < slowest_rank).unwrap_or(false));
-        if !has_fast_blocks {
+        if !f.extents.iter().any(|&(_, _, tid)| cx.sheds_cold(tid)) {
             continue;
         }
         if pinned(f.ino) {
@@ -711,12 +724,12 @@ pub fn plan_epoch(
             continue;
         }
         for &(block, n, tid) in &f.extents {
+            if !cx.sheds_cold(tid) {
+                continue;
+            }
             let Some(cur_rank) = cx.rank(tid) else {
                 continue;
             };
-            if cur_rank >= slowest_rank {
-                continue;
-            }
             // Slowest healthy destination below the current tier.
             let dest = (cur_rank + 1..cx.sorted.len())
                 .rev()
@@ -1029,7 +1042,8 @@ mod tests {
     #[test]
     fn planner_sinks_cold_files_to_slowest() {
         let cfg = AutotierConfig::default();
-        let t = tiers();
+        let mut t = tiers();
+        t[0].free_bytes = 200 * BLOCK; // PM 80% full: above the low watermark
         let files = vec![fv(3, vec![(0, 8, 0)])];
         let scores = HashMap::new(); // never accessed → cold
         let out = plan(&cfg, &t, &files, &scores, &|_| false);
@@ -1037,6 +1051,27 @@ mod tests {
         let (p, promote) = out.actions[0].migrate().expect("a primary move");
         assert!(!promote);
         assert_eq!(p.to, 2);
+    }
+
+    #[test]
+    fn planner_keeps_cold_files_on_a_roomy_tier() {
+        let cfg = AutotierConfig::default();
+        let mut t = tiers();
+        let files = vec![fv(3, vec![(0, 8, 0)])];
+        let scores = HashMap::new(); // never accessed → cold
+
+        // Exactly at the low watermark: the cold file stays put.
+        t[0].free_bytes = 300 * BLOCK;
+        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        assert!(out.actions.is_empty(), "{:?}", out.actions);
+        assert_eq!(out.vetoes, 0);
+        // One block above it: the same file sinks to the slowest tier.
+        t[0].free_bytes = 299 * BLOCK;
+        let out = plan(&cfg, &t, &files, &scores, &|_| false);
+        assert_eq!(out.actions.len(), 1);
+        let (p, promote) = out.actions[0].migrate().expect("a primary move");
+        assert!(!promote);
+        assert_eq!((p.ino, p.to), (3, 2));
     }
 
     #[test]
@@ -1143,7 +1178,9 @@ mod tests {
     #[test]
     fn planner_unmirrors_before_demoting() {
         let cfg = AutotierConfig::default();
-        let t = tiers();
+        let mut t = tiers();
+        t[0].free_bytes = 200 * BLOCK; // PM 80% full: above the low watermark
+
         // Cold file primary on PM with an SSD replica: the demotion of the
         // primary must be preceded by the replica's retirement.
         let mut f = fv(3, vec![(0, 8, 0)]);

@@ -495,8 +495,8 @@ impl Mux {
         MuxStats::add(&self.stats.fastpath_invalidations, 1);
     }
 
-    /// Drains deferred fast-path hit bookkeeping into the heat map, the
-    /// tiering policy and per-file access times, and emits one batched
+    /// Drains deferred fast-path hit bookkeeping into the heat map and
+    /// per-file access times, and emits one batched
     /// [`TraceEventKind::FastPathBatch`] event. Called from
     /// [`Mux::maintenance_tick`] (before the planner, so heat is current)
     /// and opportunistically from the read path every
@@ -507,12 +507,10 @@ impl Mux {
             return;
         }
         let now = self.now();
-        let policy = self.policy.read().clone();
         let mut total = 0u64;
-        for (ino, block, tier, hits) in drained {
+        for (ino, _block, tier, hits) in drained {
             total += hits;
             self.autotier.heat.record(ino, hits, false);
-            policy.on_access(ino, block, hits, false, now);
             if let Some(file) = self.files.get(&ino) {
                 file.state.write().meta.on_read(tier, now);
             }
@@ -1724,6 +1722,7 @@ impl Mux {
             return Err(VfsError::Io("mux has no tiers".into()));
         }
         let policy = self.policy.read().clone();
+        let heat = self.autotier.heat.score(file.ino);
         let mut out: Vec<(TierId, u64, u64, bool)> = Vec::new();
         let mut cursor = first;
         let push = |tier: TierId, b0: u64, nb: u64, fresh: bool, out: &mut Vec<_>| {
@@ -1743,6 +1742,7 @@ impl Mux {
                 is_append: b0 * BLOCK >= file_size,
                 sync,
                 tiers: &tier_status,
+                heat,
             };
             // `place_run` may stripe the run across tiers.
             let mut b = b0;
@@ -1965,6 +1965,7 @@ impl FileSystem for Mux {
                         is_append: true,
                         sync: false,
                         tiers: &tier_status,
+                        heat: self.autotier.heat.score(ino),
                     })
                 };
                 let file = Arc::new(MuxFile::new(ino, CollectiveInode::new(attr, host)));
@@ -2533,17 +2534,7 @@ impl FileSystem for Mux {
             let mut st = file.state.write();
             st.meta.on_read(t, now);
             drop(st);
-            let policy = self.policy.read().clone();
-            policy.on_access(ino, first, last - first + 1, false, now);
             self.autotier.heat.record(ino, last - first + 1, false);
-            let fastest = self
-                .tier_status()
-                .into_iter()
-                .min_by_key(|s| s.class)
-                .map(|s| s.id);
-            if fastest.is_some() && fastest != Some(t) {
-                policy.on_tier_read(ino, t, false, now);
-            }
         }
         let dt = self.now().saturating_sub(t0);
         self.lat
@@ -2764,8 +2755,6 @@ impl FileSystem for Mux {
                 data.len() as u64,
             );
         }
-        let policy = self.policy.read().clone();
-        policy.on_access(ino, first, last - first + 1, true, now);
         self.autotier.heat.record(ino, last - first + 1, true);
         Ok(data.len())
     }

@@ -32,7 +32,7 @@ use tvfs::{VfsError, VfsResult};
 use crate::file::{clip_ranges, ranges_intersect, subtract_ranges, MuxFile, MuxIno};
 use crate::hist::OpKind;
 use crate::mux::Mux;
-use crate::policy::{FileView, MigrationPlan};
+use crate::policy::FileView;
 use crate::sched::IoRequest;
 use crate::trace::TraceEventKind;
 use crate::types::{TierId, BLOCK};
@@ -340,7 +340,7 @@ impl Mux {
         file.state.write().meta.mark_stale(to);
         self.journal_migration_commit(ino, block, n, to)?;
         self.reclaim_sources(&file, &sources)?;
-        OccStats::bump(&self.occ.blocks_moved, sources.iter().map(|s| s.2).sum());
+        self.note_blocks_moved(sources.iter().map(|s| s.2).sum());
         self.note_meta_mutation();
         Ok(outcome)
     }
@@ -656,7 +656,7 @@ impl Mux {
         );
         self.journal_migration_commit(ino, block, n, to)?;
         self.reclaim_sources(&file, &sources)?;
-        OccStats::bump(&self.occ.blocks_moved, sources.iter().map(|s| s.2).sum());
+        self.note_blocks_moved(sources.iter().map(|s| s.2).sum());
         self.note_meta_mutation();
         Ok(MigrationOutcome::LockFallback)
     }
@@ -724,9 +724,16 @@ impl Mux {
         }
         if !committed.is_empty() {
             file.state.write().meta.mark_stale(to);
-            OccStats::bump(&self.occ.blocks_moved, committed.iter().map(|c| c.1).sum());
+            self.note_blocks_moved(committed.iter().map(|c| c.1).sum());
         }
         self.note_meta_mutation();
+    }
+
+    /// Counts blocks whose authority switched tiers, in both the OCC
+    /// counters and [`crate::MuxStats::blocks_migrated`].
+    fn note_blocks_moved(&self, n: u64) {
+        OccStats::bump(&self.occ.blocks_moved, n);
+        crate::stats::MuxStats::add(&self.stats.blocks_migrated, n);
     }
 
     /// Mirrors `[block, block+n)` onto tier `to` — the MOST-style deliberate
@@ -990,14 +997,6 @@ impl Mux {
         Ok(retired)
     }
 
-    /// Replicates `[block, block+n)` onto tier `to` (paper §4: replication
-    /// across devices for stronger crash consistency). Alias of
-    /// [`Mux::mirror_range`], kept for the repair and chaos callers that
-    /// predate deliberate mirror placement.
-    pub fn replicate_range(&self, ino: MuxIno, block: u64, n: u64, to: TierId) -> VfsResult<u64> {
-        self.mirror_range(ino, block, n, to)
-    }
-
     /// Migrates an entire file to `to`.
     pub fn migrate_file(&self, ino: MuxIno, to: TierId) -> VfsResult<MigrationOutcome> {
         let file = self.get_file(ino)?;
@@ -1009,8 +1008,7 @@ impl Mux {
     }
 
     /// Snapshot of every file's block placement, sorted by inode — the
-    /// shared input of [`Mux::run_policy_migrations`] and the autotier
-    /// planner ([`crate::Mux::maintenance_tick`]).
+    /// input of the autotier planner ([`crate::Mux::maintenance_tick`]).
     pub(crate) fn file_views(&self) -> Vec<FileView> {
         let mut files: Vec<FileView> = Vec::new();
         self.files.for_each(|_, f| {
@@ -1034,30 +1032,6 @@ impl Mux {
         // (and the virtual-time costs of executing them) are deterministic.
         files.sort_unstable_by_key(|f| f.ino);
         files
-    }
-
-    /// One policy-driven migration pass: asks the policy for plans and
-    /// executes them.
-    pub fn run_policy_migrations(&self) -> MigrationSummary {
-        let tiers = self.tier_status();
-        let files = self.file_views();
-        let policy = self.policy.read().clone();
-        let plans: Vec<MigrationPlan> = policy.plan_migrations(&tiers, &files);
-        let mut summary = MigrationSummary {
-            planned: plans.len(),
-            ..Default::default()
-        };
-        for p in plans {
-            match self.migrate_range(p.ino, p.block, p.n_blocks, p.to) {
-                Ok(MigrationOutcome::NothingToDo) => {}
-                Ok(_) => {
-                    summary.executed += 1;
-                    summary.blocks_moved += p.n_blocks;
-                }
-                Err(_) => summary.failed += 1,
-            }
-        }
-        summary
     }
 
     /// Drains every block off a (typically sick) tier onto the healthiest
@@ -1144,6 +1118,7 @@ impl Mux {
                     is_append: false,
                     sync: false,
                     tiers: &remaining,
+                    heat: self.autotier.heat.score(ino),
                 });
                 if dest == tier {
                     handle.draining.store(false, Ordering::Release);

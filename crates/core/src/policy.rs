@@ -5,14 +5,19 @@
 //! user request dispatching. All the placement and migration policies in
 //! existing tiered file systems can be expressed using simple functions."
 //!
-//! [`TieringPolicy`] is that interface. Implementations provided here:
+//! [`TieringPolicy`] is that interface: placement of new blocks, plus
+//! pins. Migration is not a policy's job; the autotier planner
+//! ([`crate::autotier::plan_epoch`]) is Mux's one mover, ranking files by
+//! the one shared heat map. Implementations provided here:
 //!
-//! * [`LruPolicy`] — the policy the paper's evaluation uses: "a simple LRU
-//!   policy that evicts cold data to the slower device if no space left on
-//!   faster devices, and promotes data back upon access" (§3.1).
+//! * [`LruPolicy`] — the placement half of the policy the paper's
+//!   evaluation uses: "a simple LRU policy that evicts cold data to the
+//!   slower device if no space left on faster devices, and promotes data
+//!   back upon access" (§3.1). The planner does the evicting and
+//!   promoting.
 //! * [`TpfsPolicy`] — TPFS-style placement "based on the I/O size,
 //!   synchronicity, and access history" (§2.1's worked example).
-//! * [`HotColdPolicy`] — frequency-based hot/cold classification.
+//! * [`HotColdPolicy`] — hot/cold placement by the shared heat.
 //! * [`PinnedPolicy`] — explicit per-file pinning with a default.
 //! * [`StripingPolicy`] — round-robin block striping (load balancing).
 //!
@@ -85,9 +90,13 @@ pub struct PlacementCtx<'a> {
     pub sync: bool,
     /// Registered tiers, fastest class first.
     pub tiers: &'a [TierStatus],
+    /// The file's current access heat from the shared
+    /// [`crate::autotier::HeatMap`] (0 for a file never accessed).
+    pub heat: f64,
 }
 
-/// One block range of one file, as shown to `plan_migrations`.
+/// One file's block layout, as shown to the autotier planner
+/// ([`crate::autotier::plan_epoch`]).
 #[derive(Debug, Clone)]
 pub struct FileView {
     /// File identity.
@@ -99,7 +108,8 @@ pub struct FileView {
     pub replicas: Vec<(u64, u64, TierId)>,
 }
 
-/// A migration the policy wants executed.
+/// One migration of a block range, as planned by
+/// [`crate::autotier::plan_epoch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
     /// File to move blocks of.
@@ -112,7 +122,9 @@ pub struct MigrationPlan {
     pub to: TierId,
 }
 
-/// A tiering policy: placement + access tracking + migration planning.
+/// A tiering policy: placement of new blocks plus pins. Moving data
+/// afterwards is the autotier planner's job ([`crate::autotier`]); it
+/// reads the policy only through [`TieringPolicy::is_pinned`].
 ///
 /// # Examples
 ///
@@ -147,20 +159,6 @@ pub trait TieringPolicy: Send + Sync {
         vec![(ctx.len, self.place(ctx))]
     }
 
-    /// Observes an access (for recency/frequency tracking).
-    fn on_access(&self, _ino: MuxIno, _block: u64, _n_blocks: u64, _is_write: bool, _now_ns: u64) {}
-
-    /// Observes that a read was served by a specific (non-fastest) tier —
-    /// the promotion signal for policies that "promote data back upon
-    /// access" (§3.1).
-    fn on_tier_read(&self, _ino: MuxIno, _tier: TierId, _is_fastest: bool, _now_ns: u64) {}
-
-    /// Plans migrations given tier occupancy and file layouts. Called by
-    /// the migration engine; an empty plan means nothing to do.
-    fn plan_migrations(&self, _tiers: &[TierStatus], _files: &[FileView]) -> Vec<MigrationPlan> {
-        Vec::new()
-    }
-
     /// Whether a file is pinned to its current placement. The autotier
     /// engine ([`crate::autotier`]) never plans moves for pinned files.
     /// Defaults to `false`; [`PinnedPolicy`] overrides it.
@@ -191,57 +189,28 @@ fn fastest_with_space(tiers: &[TierStatus], need: u64, watermark: f64) -> TierId
         .unwrap_or(0)
 }
 
-#[allow(dead_code)] // used by custom policies built on these helpers
-fn next_slower(tiers: &[TierStatus], from: TierId) -> Option<TierId> {
-    let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-    sorted.sort_by_key(|t| t.class);
-    let pos = sorted.iter().position(|t| t.id == from)?;
-    sorted.get(pos + 1).map(|t| t.id)
-}
-
 // ---------------------------------------------------------------------
 // LRU (the paper's evaluation policy)
 // ---------------------------------------------------------------------
 
-/// The paper's §3.1 policy: place on the fastest tier, demote cold files
-/// when a tier fills beyond the high watermark, promote on access.
+/// The paper's §3.1 policy: place on the fastest tier below the high
+/// watermark. The rest of §3.1 — evict cold data "if no space left on
+/// faster devices" and promote data back upon access — is the autotier
+/// planner's pressure, cold and promotion passes.
 pub struct LruPolicy {
-    inner: Mutex<LruInner>,
-    /// Demote when utilization exceeds this.
+    /// Place below the fastest tier once its utilization reaches this.
     pub high_watermark: f64,
-    /// Demote until utilization falls below this.
-    pub low_watermark: f64,
-}
-
-struct LruInner {
-    /// ino → last access (virtual ns).
-    last_access: HashMap<MuxIno, u64>,
-    /// Files recently read from a slower tier (promotion candidates).
-    promote: HashMap<MuxIno, u64>,
 }
 
 impl LruPolicy {
-    /// Watermarks in `[0,1]`, `low < high`.
-    pub fn new(low_watermark: f64, high_watermark: f64) -> Self {
-        LruPolicy {
-            inner: Mutex::new(LruInner {
-                last_access: HashMap::new(),
-                promote: HashMap::new(),
-            }),
-            high_watermark,
-            low_watermark,
-        }
+    /// Places on the fastest tier until it reaches `high_watermark`.
+    pub fn new(high_watermark: f64) -> Self {
+        LruPolicy { high_watermark }
     }
 
-    /// Default 70 % / 90 % watermarks.
+    /// Default 90 % watermark.
     pub fn default_watermarks() -> Self {
-        Self::new(0.70, 0.90)
-    }
-
-    /// Marks a file as a promotion candidate (Mux calls this when a read
-    /// is served by a non-fastest tier).
-    pub fn note_slow_read(&self, ino: MuxIno, now_ns: u64) {
-        self.inner.lock().promote.insert(ino, now_ns);
+        Self::new(0.90)
     }
 }
 
@@ -252,85 +221,6 @@ impl TieringPolicy for LruPolicy {
 
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
         fastest_with_space(ctx.tiers, ctx.len, self.high_watermark)
-    }
-
-    fn on_access(&self, ino: MuxIno, _block: u64, _n: u64, _w: bool, now_ns: u64) {
-        self.inner.lock().last_access.insert(ino, now_ns);
-    }
-
-    fn on_tier_read(&self, ino: MuxIno, _tier: TierId, is_fastest: bool, now_ns: u64) {
-        if !is_fastest {
-            self.note_slow_read(ino, now_ns);
-        }
-    }
-
-    fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let inner = self.inner.lock();
-        let mut plans = Vec::new();
-        let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-        sorted.sort_by_key(|t| t.class);
-        // Demotion: for each over-watermark tier, move the coldest files'
-        // blocks down until we would be under the low watermark.
-        for (i, t) in sorted.iter().enumerate() {
-            if t.utilization() <= self.high_watermark {
-                continue;
-            }
-            let Some(down) = sorted.get(i + 1).map(|d| d.id) else {
-                continue; // bottom tier: nowhere to demote
-            };
-            let mut need_bytes =
-                ((t.utilization() - self.low_watermark) * t.total_bytes as f64) as u64;
-            // Coldest first.
-            let mut candidates: Vec<&FileView> = files
-                .iter()
-                .filter(|f| f.extents.iter().any(|&(_, _, tid)| tid == t.id))
-                .collect();
-            candidates.sort_by_key(|f| inner.last_access.get(&f.ino).copied().unwrap_or(0));
-            for f in candidates {
-                if need_bytes == 0 {
-                    break;
-                }
-                for &(block, n, tid) in &f.extents {
-                    if tid != t.id || need_bytes == 0 {
-                        continue;
-                    }
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: down,
-                    });
-                    need_bytes = need_bytes.saturating_sub(n * crate::types::BLOCK);
-                }
-            }
-        }
-        // Promotion: recently-touched files with blocks below the fastest
-        // tier move up if there is room.
-        if let Some(fast) = sorted.first() {
-            let mut room = fast
-                .free_bytes
-                .saturating_sub(((1.0 - self.high_watermark) * fast.total_bytes as f64) as u64);
-            for (&ino, _) in inner.promote.iter() {
-                if room == 0 {
-                    break;
-                }
-                if let Some(f) = files.iter().find(|f| f.ino == ino) {
-                    for &(block, n, tid) in &f.extents {
-                        if tid == fast.id || room == 0 {
-                            continue;
-                        }
-                        plans.push(MigrationPlan {
-                            ino,
-                            block,
-                            n_blocks: n,
-                            to: fast.id,
-                        });
-                        room = room.saturating_sub(n * crate::types::BLOCK);
-                    }
-                }
-            }
-        }
-        plans
     }
 }
 
@@ -386,29 +276,18 @@ impl TieringPolicy for TpfsPolicy {
 // Hot / cold classification
 // ---------------------------------------------------------------------
 
-/// Frequency-based classification with exponential decay: hot files place
-/// and stay on the fastest tier, cold files sink.
+/// Heat-based classification: files at or above `hot_threshold` on the
+/// shared heat map ([`PlacementCtx::heat`]) place on the fastest tier,
+/// everything else on the slowest.
 pub struct HotColdPolicy {
-    scores: Mutex<HashMap<MuxIno, f64>>,
-    /// Score above which a file is hot.
+    /// Heat at or above which a file is hot.
     pub hot_threshold: f64,
-    /// Multiplicative decay applied on every planning pass.
-    pub decay: f64,
 }
 
 impl HotColdPolicy {
     /// Standard parameters.
     pub fn new() -> Self {
-        HotColdPolicy {
-            scores: Mutex::new(HashMap::new()),
-            hot_threshold: 4.0,
-            decay: 0.5,
-        }
-    }
-
-    /// Current hotness of a file.
-    pub fn score(&self, ino: MuxIno) -> f64 {
-        self.scores.lock().get(&ino).copied().unwrap_or(0.0)
+        HotColdPolicy { hot_threshold: 4.0 }
     }
 }
 
@@ -424,7 +303,7 @@ impl TieringPolicy for HotColdPolicy {
     }
 
     fn place(&self, ctx: &PlacementCtx<'_>) -> TierId {
-        let hot = self.score(ctx.ino) >= self.hot_threshold;
+        let hot = ctx.heat >= self.hot_threshold;
         let mut sorted: Vec<&TierStatus> = ctx.tiers.iter().collect();
         sorted.sort_by_key(|t| t.class);
         let pick = if hot { sorted.first() } else { sorted.last() };
@@ -435,47 +314,6 @@ impl TieringPolicy for HotColdPolicy {
             }
         }
         preferred
-    }
-
-    fn on_access(&self, ino: MuxIno, _block: u64, n: u64, _w: bool, _now: u64) {
-        *self.scores.lock().entry(ino).or_insert(0.0) += 1.0 + (n as f64).log2().max(0.0) * 0.1;
-    }
-
-    fn plan_migrations(&self, tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let mut scores = self.scores.lock();
-        let mut sorted: Vec<&TierStatus> = tiers.iter().collect();
-        sorted.sort_by_key(|t| t.class);
-        let (Some(fast), Some(slow)) = (sorted.first(), sorted.last()) else {
-            return Vec::new();
-        };
-        if fast.id == slow.id {
-            return Vec::new();
-        }
-        let mut plans = Vec::new();
-        for f in files {
-            let hot = scores.get(&f.ino).copied().unwrap_or(0.0) >= self.hot_threshold;
-            for &(block, n, tid) in &f.extents {
-                if hot && tid != fast.id && fast.free_bytes > n * crate::types::BLOCK {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: fast.id,
-                    });
-                } else if !hot && tid == fast.id {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: slow.id,
-                    });
-                }
-            }
-        }
-        for v in scores.values_mut() {
-            *v *= self.decay;
-        }
-        plans
     }
 }
 
@@ -500,7 +338,8 @@ impl PinnedPolicy {
         }
     }
 
-    /// Pins a file to a tier (affects future placement and planning).
+    /// Pins a file to a tier: future placement goes there, and the
+    /// autotier planner never moves the file.
     pub fn pin(&self, ino: MuxIno, tier: TierId) {
         self.pins.lock().insert(ino, tier);
     }
@@ -524,27 +363,6 @@ impl TieringPolicy for PinnedPolicy {
             .unwrap_or(self.default_tier)
     }
 
-    fn plan_migrations(&self, _tiers: &[TierStatus], files: &[FileView]) -> Vec<MigrationPlan> {
-        let pins = self.pins.lock();
-        let mut plans = Vec::new();
-        for f in files {
-            let Some(&want) = pins.get(&f.ino) else {
-                continue;
-            };
-            for &(block, n, tid) in &f.extents {
-                if tid != want {
-                    plans.push(MigrationPlan {
-                        ino: f.ino,
-                        block,
-                        n_blocks: n,
-                        to: want,
-                    });
-                }
-            }
-        }
-        plans
-    }
-
     fn is_pinned(&self, ino: MuxIno) -> bool {
         // Only explicit pins count: a `default_tier` placement is a
         // preference, not a pin, so the autotier engine may still move
@@ -561,7 +379,6 @@ impl TieringPolicy for PinnedPolicy {
 /// §2.2 mentions ("a file can be stored on multiple devices as a result of
 /// load balancing").
 pub struct StripingPolicy {
-    counter: Mutex<u64>,
     /// Stripe unit in blocks.
     pub stripe_blocks: u64,
 }
@@ -570,7 +387,6 @@ impl StripingPolicy {
     /// Stripe unit in Mux blocks.
     pub fn new(stripe_blocks: u64) -> Self {
         StripingPolicy {
-            counter: Mutex::new(0),
             stripe_blocks: stripe_blocks.max(1),
         }
     }
@@ -586,8 +402,6 @@ impl TieringPolicy for StripingPolicy {
             return 0;
         }
         let stripe = (ctx.off / crate::types::BLOCK) / self.stripe_blocks;
-        let mut c = self.counter.lock();
-        *c += 1;
         let mut sorted: Vec<&TierStatus> = ctx.tiers.iter().collect();
         sorted.sort_by_key(|t| t.id);
         sorted[(stripe % sorted.len() as u64) as usize].id
@@ -611,6 +425,7 @@ impl TieringPolicy for StripingPolicy {
                 is_append: ctx.is_append,
                 sync: ctx.sync,
                 tiers: ctx.tiers,
+                heat: ctx.heat,
             };
             out.push((piece, self.place(&sub)));
             off += piece;
@@ -661,6 +476,7 @@ mod tests {
             is_append: true,
             sync,
             tiers,
+            heat: 0.0,
         }
     }
 
@@ -673,55 +489,6 @@ mod tests {
         let mut t2 = t.clone();
         t2[0].free_bytes = 900 * 4096; // PM now mostly free
         assert_eq!(p.place(&ctx(&t2, 4096, false)), 0);
-    }
-
-    #[test]
-    fn lru_demotes_coldest_first() {
-        let mut t = tiers();
-        t[0].free_bytes = 0; // PM 100% full
-        let p = LruPolicy::default_watermarks();
-        p.on_access(1, 0, 1, false, 100); // file 1 accessed at t=100
-        p.on_access(2, 0, 1, false, 999_999); // file 2 hot
-        let files = vec![
-            FileView {
-                ino: 1,
-                extents: vec![(0, 50, 0)],
-                replicas: Vec::new(),
-            },
-            FileView {
-                ino: 2,
-                extents: vec![(0, 50, 0)],
-                replicas: Vec::new(),
-            },
-        ];
-        let plans = p.plan_migrations(&t, &files);
-        assert!(!plans.is_empty());
-        // Coldest (ino 1) must be demoted before ino 2, to the SSD.
-        assert_eq!(plans[0].ino, 1);
-        assert_eq!(plans[0].to, 1);
-    }
-
-    #[test]
-    fn lru_promotes_slow_reads() {
-        let mut t = tiers();
-        t[0].free_bytes = 900 * 4096;
-        let p = LruPolicy::default_watermarks();
-        p.note_slow_read(5, 42);
-        let files = vec![FileView {
-            ino: 5,
-            extents: vec![(0, 4, 2)],
-            replicas: Vec::new(),
-        }];
-        let plans = p.plan_migrations(&t, &files);
-        assert_eq!(
-            plans,
-            vec![MigrationPlan {
-                ino: 5,
-                block: 0,
-                n_blocks: 4,
-                to: 0
-            }]
-        );
     }
 
     #[test]
@@ -750,42 +517,15 @@ mod tests {
     }
 
     #[test]
-    fn hotcold_learns_and_migrates() {
-        let t = tiers();
+    fn hotcold_places_by_shared_heat() {
+        let mut t = tiers();
+        t[0].free_bytes = 900 * 4096;
         let p = HotColdPolicy::new();
-        for _ in 0..10 {
-            p.on_access(7, 0, 8, false, 0);
-        }
-        assert!(p.score(7) >= p.hot_threshold);
-        let files = vec![
-            FileView {
-                ino: 7,
-                extents: vec![(0, 4, 2)],
-                replicas: Vec::new(),
-            },
-            FileView {
-                ino: 8,
-                extents: vec![(0, 4, 0)],
-                replicas: Vec::new(),
-            },
-        ];
-        let plans = p.plan_migrations(&t, &files);
-        assert!(plans.contains(&MigrationPlan {
-            ino: 7,
-            block: 0,
-            n_blocks: 4,
-            to: 0
-        }));
-        assert!(plans.contains(&MigrationPlan {
-            ino: 8,
-            block: 0,
-            n_blocks: 4,
-            to: 2
-        }));
-        // Scores decay.
-        let before = p.score(7);
-        p.plan_migrations(&t, &[]);
-        assert!(p.score(7) < before);
+        let mut c = ctx(&t, 4096, false);
+        c.heat = p.hot_threshold;
+        assert_eq!(p.place(&c), 0, "hot file → fastest tier");
+        c.heat = p.hot_threshold - 0.1;
+        assert_eq!(p.place(&c), 2, "cooler file → slowest tier");
     }
 
     #[test]
@@ -797,15 +537,9 @@ mod tests {
         p.pin(1, 2);
         assert!(p.is_pinned(1));
         assert_eq!(p.place(&ctx(&t, 1, false)), 2);
-        let files = vec![FileView {
-            ino: 1,
-            extents: vec![(0, 4, 0)],
-            replicas: Vec::new(),
-        }];
-        let plans = p.plan_migrations(&t, &files);
-        assert_eq!(plans[0].to, 2);
         p.unpin(1);
-        assert!(p.plan_migrations(&t, &files).is_empty());
+        assert!(!p.is_pinned(1));
+        assert_eq!(p.place(&ctx(&t, 1, false)), 1);
     }
 
     #[test]

@@ -272,6 +272,7 @@ mod tests {
             is_append: true,
             sync,
             tiers,
+            heat: 0.0,
         }
     }
 

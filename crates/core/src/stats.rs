@@ -26,7 +26,8 @@ pub struct MuxStats {
     pub cache_hits: AtomicU64,
     /// SCM cache misses.
     pub cache_misses: AtomicU64,
-    /// Blocks migrated between tiers.
+    /// Blocks migrated between tiers (by any migration path; equals
+    /// [`crate::OccStats`]'s `blocks_moved`).
     pub blocks_migrated: AtomicU64,
     /// fsync fan-outs issued.
     pub fsyncs: AtomicU64,
@@ -78,7 +79,7 @@ pub struct MuxStats {
     /// plus global epoch bumps from tier add/remove and recovery).
     pub fastpath_invalidations: AtomicU64,
     /// Blocks mirrored onto a second tier by deliberate placement
-    /// (autotier `Mirror` actions and `Mux::replicate_range`).
+    /// (autotier `Mirror` actions and `Mux::mirror_range`).
     pub mirrors_created: AtomicU64,
     /// Replica blocks retired (heat decay, watermark pressure, demotion
     /// prep, or a write absorbing the range on the fast copy).

@@ -91,7 +91,7 @@ pub struct FastPathConfig {
     /// 4-way set-associative). At 80 bytes per slot the default costs
     /// 5 MiB and covers a 256 MiB hot set of 4 KiB blocks.
     pub slots: usize,
-    /// Flush deferred hit bookkeeping (heat map, policy, atime, trace)
+    /// Flush deferred hit bookkeeping (heat map, atime, trace)
     /// after this many fast-path hits, in addition to the flush at every
     /// [`crate::Mux::maintenance_tick`].
     pub flush_every: u64,

@@ -145,7 +145,7 @@ fn replicated_data_survives_the_storm_without_fencing_noise_to_callers() {
     mux.migrate_file(f, 0).unwrap();
     // Replicate onto the stable tier *before* the storm: the read path
     // now has a healthy copy for every block.
-    assert_eq!(mux.replicate_range(f, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f, 0, N, 1).unwrap(), N);
     dev.set_fault_mode(FaultMode::BitRot { period: 1, seed: 5 });
     let mut buf = vec![0u8; BLOCK as usize];
     for b in 0..N {

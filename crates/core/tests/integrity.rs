@@ -72,7 +72,7 @@ fn bit_rot_is_detected_and_repaired_from_replica() {
     const N: u64 = 16;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     // Every device read now flips one bit in the returned buffer: the
     // primary read rots, the bounded re-read rots again, and repair must
     // come from the replica every single time.
@@ -208,7 +208,7 @@ fn scrub_finds_rot_in_cold_data_and_repairs_from_replica() {
     const N: u64 = 24;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     // Nobody reads this file — only the scrubber will. Sporadic rot on
     // the scrub reads themselves models latent sector decay.
     dev.set_fault_mode(FaultMode::BitRot {
@@ -241,7 +241,7 @@ fn paced_scrub_covers_everything_across_maintenance_ticks() {
     const N: u64 = 48;
     mux.write(f.ino, 0, &pattern_at(0, (N * BLOCK) as usize))
         .unwrap();
-    assert_eq!(mux.replicate_range(f.ino, 0, N, 1).unwrap(), N);
+    assert_eq!(mux.mirror_range(f.ino, 0, N, 1).unwrap(), N);
     dev.set_fault_mode(FaultMode::BitRot { period: 4, seed: 5 });
     // The token bucket and per-tick budget pace the walk: one tick must
     // NOT cover all 48 blocks, but repeated ticks (with virtual time
@@ -283,7 +283,7 @@ proptest! {
         let f = mux.create(ROOT_INO, "f", FileType::Regular, 0o644).unwrap();
         mux.write(f.ino, 0, &pattern_at(0, (blocks * BLOCK) as usize)).unwrap();
         if replicated {
-            prop_assert_eq!(mux.replicate_range(f.ino, 0, blocks, 1).unwrap(), blocks);
+            prop_assert_eq!(mux.mirror_range(f.ino, 0, blocks, 1).unwrap(), blocks);
         }
         dev.set_fault_mode(FaultMode::BitRot { period, seed });
         mux.scrub_everything();

@@ -4,23 +4,37 @@
 //! from device timing; the workspace-level integration tests run the same
 //! flows over the real novafs/xefs/e4fs stacks.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mux::{
-    LruPolicy, Mux, MuxOptions, PinnedPolicy, StripingPolicy, TierConfig, TieringPolicy, BLOCK,
+    AutotierConfig, LruPolicy, Mux, MuxOptions, PinnedPolicy, StripingPolicy, TierConfig,
+    TieringPolicy, BLOCK,
 };
 use simdev::{DeviceClass, VirtualClock};
 use tvfs::memfs::MemFs;
-use tvfs::{FileSystem, FileType, SetAttr, VfsError, ROOT_INO};
+use tvfs::{
+    DirEntry, FileAttr, FileSystem, FileType, InodeNo, SetAttr, StatFs, VfsError, VfsResult,
+    ROOT_INO,
+};
 
 struct Rig {
     mux: Arc<Mux>,
+    clock: VirtualClock,
     tiers: Vec<Arc<MemFs>>,
+}
+
+impl Rig {
+    /// Runs one autotier epoch: advance past the epoch interval, then tick.
+    fn epoch(&self) -> mux::EpochReport {
+        self.clock.advance(AutotierConfig::default().epoch_ns);
+        self.mux.maintenance_tick()
+    }
 }
 
 fn rig_with_policy(policy: Arc<dyn TieringPolicy>, caps: &[u64]) -> Rig {
     let clock = VirtualClock::new();
-    let mux = Arc::new(Mux::new(clock, policy, MuxOptions::default()));
+    let mux = Arc::new(Mux::new(clock.clone(), policy, MuxOptions::default()));
     let classes = [
         DeviceClass::Pmem,
         DeviceClass::Ssd,
@@ -39,7 +53,7 @@ fn rig_with_policy(policy: Arc<dyn TieringPolicy>, caps: &[u64]) -> Rig {
         );
         tiers.push(fs);
     }
-    Rig { mux, tiers }
+    Rig { mux, clock, tiers }
 }
 
 fn rig() -> Rig {
@@ -317,7 +331,8 @@ fn concurrent_writes_during_migration_are_never_lost() {
 
 #[test]
 fn policy_driven_demotion_when_tier_fills() {
-    // Tiny PM tier: the LRU policy must demote cold files downward.
+    // Tiny PM tier: LRU placement fills it, and the autotier epoch must
+    // demote the colder file downward.
     let r = rig_with_policy(
         Arc::new(LruPolicy::default_watermarks()),
         &[16 * BLOCK, 1 << 30, 1 << 30],
@@ -334,12 +349,144 @@ fn policy_driven_demotion_when_tier_fills() {
     // Touch the hot file much later.
     let mut b = [0u8; 1];
     r.mux.read(hot, 0, &mut b).unwrap();
-    let summary = r.mux.run_policy_migrations();
-    assert!(summary.executed > 0, "over-watermark tier must demote");
+    let report = r.epoch();
+    assert!(report.executed > 0, "over-watermark tier must demote");
+    assert!(r.mux.stats().snapshot().auto_demotions > 0);
     // Cold file went down; its data is intact.
     let mut buf = vec![0u8; (8 * BLOCK) as usize];
     r.mux.read(cold, 0, &mut buf).unwrap();
     assert!(buf.iter().all(|&x| x == 1));
+}
+
+#[test]
+fn blocks_migrated_counts_autotier_promotions() {
+    // Everything lands on HDD; a hot file must be promoted by the epoch,
+    // and both migration counters must agree on the blocks it moved.
+    let r = rig_with_policy(Arc::new(PinnedPolicy::new(2)), &[1 << 30, 1 << 30, 1 << 30]);
+    let ino = mk(&r.mux, "hot");
+    r.mux
+        .write(ino, 0, &vec![7u8; (8 * BLOCK) as usize])
+        .unwrap();
+    let mut buf = vec![0u8; (8 * BLOCK) as usize];
+    for _ in 0..8 {
+        r.mux.read(ino, 0, &mut buf).unwrap();
+    }
+    r.epoch();
+    let stats = r.mux.stats().snapshot();
+    let (_, _, _, _, moved) = r.mux.occ_stats().snapshot();
+    assert!(stats.auto_promotions > 0, "the hot file was not promoted");
+    assert!(moved > 0);
+    assert_eq!(stats.blocks_migrated, moved);
+    r.mux.read(ino, 0, &mut buf).unwrap();
+    assert!(buf.iter().all(|&x| x == 7));
+}
+
+/// A pass-through tier that counts `statfs` calls.
+struct StatfsCountingFs {
+    inner: MemFs,
+    statfs_calls: AtomicU64,
+}
+
+impl FileSystem for StatfsCountingFs {
+    fn fs_name(&self) -> &str {
+        self.inner.fs_name()
+    }
+    fn lookup(&self, parent: InodeNo, name: &str) -> VfsResult<FileAttr> {
+        self.inner.lookup(parent, name)
+    }
+    fn getattr(&self, ino: InodeNo) -> VfsResult<FileAttr> {
+        self.inner.getattr(ino)
+    }
+    fn setattr(&self, ino: InodeNo, set: &SetAttr) -> VfsResult<FileAttr> {
+        self.inner.setattr(ino, set)
+    }
+    fn create(
+        &self,
+        parent: InodeNo,
+        name: &str,
+        kind: FileType,
+        mode: u32,
+    ) -> VfsResult<FileAttr> {
+        self.inner.create(parent, name, kind, mode)
+    }
+    fn unlink(&self, parent: InodeNo, name: &str) -> VfsResult<()> {
+        self.inner.unlink(parent, name)
+    }
+    fn rename(&self, p: InodeNo, n: &str, np: InodeNo, nn: &str) -> VfsResult<()> {
+        self.inner.rename(p, n, np, nn)
+    }
+    fn readdir(&self, ino: InodeNo) -> VfsResult<Vec<DirEntry>> {
+        self.inner.readdir(ino)
+    }
+    fn read(&self, ino: InodeNo, off: u64, buf: &mut [u8]) -> VfsResult<usize> {
+        self.inner.read(ino, off, buf)
+    }
+    fn write(&self, ino: InodeNo, off: u64, data: &[u8]) -> VfsResult<usize> {
+        self.inner.write(ino, off, data)
+    }
+    fn punch_hole(&self, ino: InodeNo, off: u64, len: u64) -> VfsResult<()> {
+        self.inner.punch_hole(ino, off, len)
+    }
+    fn next_data(&self, ino: InodeNo, off: u64) -> VfsResult<Option<(u64, u64)>> {
+        self.inner.next_data(ino, off)
+    }
+    fn fsync(&self, ino: InodeNo) -> VfsResult<()> {
+        self.inner.fsync(ino)
+    }
+    fn sync(&self) -> VfsResult<()> {
+        self.inner.sync()
+    }
+    fn statfs(&self) -> VfsResult<StatFs> {
+        self.statfs_calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.statfs()
+    }
+}
+
+#[test]
+fn dispatch_path_read_never_calls_statfs() {
+    let mut opts = MuxOptions::default();
+    opts.fastpath.enabled = false; // every read takes the dispatch path
+    let mux = Mux::new(
+        VirtualClock::new(),
+        Arc::new(LruPolicy::default_watermarks()),
+        opts,
+    );
+    let mut tiers = Vec::new();
+    for (i, class) in [DeviceClass::Pmem, DeviceClass::Ssd]
+        .into_iter()
+        .enumerate()
+    {
+        let fs = Arc::new(StatfsCountingFs {
+            inner: MemFs::new(format!("tier{i}"), 1 << 30),
+            statfs_calls: AtomicU64::new(0),
+        });
+        mux.add_tier(
+            TierConfig {
+                name: format!("tier{i}"),
+                class,
+            },
+            fs.clone() as Arc<dyn FileSystem>,
+        );
+        tiers.push(fs);
+    }
+    let ino = mk(&mux, "f");
+    mux.write(ino, 0, &vec![3u8; (4 * BLOCK) as usize]).unwrap();
+    // Put half the file on the slower tier, so the read crosses both.
+    mux.migrate_range(ino, 2, 2, 1).unwrap();
+    let before: Vec<u64> = tiers
+        .iter()
+        .map(|t| t.statfs_calls.load(Ordering::Relaxed))
+        .collect();
+    let mut buf = vec![0u8; (4 * BLOCK) as usize];
+    assert_eq!(mux.read(ino, 0, &mut buf).unwrap(), buf.len());
+    assert!(buf.iter().all(|&x| x == 3));
+    for (i, t) in tiers.iter().enumerate() {
+        assert_eq!(
+            t.statfs_calls.load(Ordering::Relaxed),
+            before[i],
+            "a read called statfs on tier {i}"
+        );
+    }
 }
 
 #[test]

@@ -22,9 +22,12 @@ struct Stack {
     remote: Arc<RemoteFs>,
 }
 
-/// Local PM tier 0 plus a datacenter-link remote tier 1 (the coldest).
-/// New files land on PM; nothing is pinned, so the autotier may move them.
-fn build_stack() -> Stack {
+/// Local PM tier 0 of `pm_blocks` blocks plus a datacenter-link remote
+/// tier 1 (the coldest). New files land on PM; nothing is pinned, so the
+/// autotier may move them. Cold data sinks only off a tier above the
+/// autotier's low watermark, so each test sizes PM for its file to fill
+/// 80 % of it.
+fn build_stack(pm_blocks: u64) -> Stack {
     let clock = VirtualClock::new();
     let mux = Arc::new(Mux::new(
         clock.clone(),
@@ -36,7 +39,7 @@ fn build_stack() -> Stack {
             name: "pm".into(),
             class: DeviceClass::Pmem,
         },
-        Arc::new(MemFs::new("pm", 1 << 30)),
+        Arc::new(MemFs::new("pm", pm_blocks * BLOCK)),
     );
     let remote = Arc::new(RemoteFs::new(
         "cold-store",
@@ -64,7 +67,7 @@ fn tick_epochs(st: &Stack, n: usize) -> Vec<mux::EpochReport> {
 
 #[test]
 fn cold_data_demotes_to_the_remote_tier() {
-    let st = build_stack();
+    let st = build_stack(20);
     let ino = st
         .mux
         .create(ROOT_INO, "archive", FileType::Regular, 0o644)
@@ -121,7 +124,7 @@ fn cold_data_demotes_to_the_remote_tier() {
 
 #[test]
 fn link_partition_fences_the_tier_without_wedging_the_planner() {
-    let st = build_stack();
+    let st = build_stack(10);
     let ino = st
         .mux
         .create(ROOT_INO, "stranded", FileType::Regular, 0o644)

@@ -357,9 +357,14 @@ impl NovaFs {
             };
             if need_chain {
                 let p = inner.alloc.alloc_one()?;
-                // Terminate the old page (type 0 marker) and link it.
-                self.dev
-                    .write(slot.tail_page * PAGE + u64::from(slot.tail_off), &[0u8])?;
+                // Terminate the old page (type 0 marker) and link it. A
+                // page filled exactly needs no marker: replay stops when
+                // fewer than 3 bytes remain, and the byte at `PAGE` is the
+                // next physical page, which another inode may own.
+                if u64::from(slot.tail_off) < PAGE {
+                    self.dev
+                        .write(slot.tail_page * PAGE + u64::from(slot.tail_off), &[0u8])?;
+                }
                 self.dev.write(p * PAGE, &0u64.to_le_bytes())?;
                 self.dev.write(slot.tail_page * PAGE, &p.to_le_bytes())?;
                 self.dev.flush_range(slot.tail_page * PAGE, PAGE);
@@ -1213,6 +1218,75 @@ mod tests {
         let mut buf = [0u8; 3];
         fs.read(got.ino, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"AAA");
+    }
+
+    #[test]
+    fn log_page_filled_exactly_leaves_the_next_page_alone() {
+        let dev = Device::with_profile(pmem(), 256 << 20, VirtualClock::new());
+        let fs = NovaFs::format(dev.clone(), NovaOptions::default()).unwrap();
+        // Each first write allocates a data page, then a log page, so b's
+        // data page lands right after a's log page.
+        let a = mk_file(&fs, "a").ino;
+        let b = mk_file(&fs, "b").ino;
+        fs.write(a, 0, b"x").unwrap();
+        fs.write(b, 0, &[0xAB; PAGE as usize]).unwrap();
+        let (tail_page, tail_off) = {
+            let inner = fs.inner.lock();
+            let slot = inner.inodes[&a].slot;
+            (slot.tail_page, slot.tail_off)
+        };
+        let neighbour = (tail_page + 1) * PAGE;
+        let byte_at = |off: u64| {
+            let mut x = [0u8; 1];
+            dev.read(off, &mut x).unwrap();
+            x[0]
+        };
+        assert_eq!(
+            byte_at(neighbour),
+            0xAB,
+            "b's data must follow a's log page"
+        );
+
+        // Fill the rest of a's log page exactly with Attr and Unmap entries.
+        let attr = |size| LogEntry::Attr {
+            size,
+            mode: 0o644,
+            uid: 0,
+            gid: 0,
+            atime_ns: 0,
+            mtime_ns: 0,
+            ctime_ns: 0,
+        };
+        let unmap = LogEntry::Unmap {
+            file_page: 1 << 20,
+            n_pages: 1,
+        };
+        let (la, lu) = (attr(0).encode().len() as u64, unmap.encode().len() as u64);
+        let rest = PAGE - u64::from(tail_off);
+        let n_attr = (0..lu)
+            .find(|k| k * la <= rest && (rest - k * la).is_multiple_of(lu))
+            .unwrap();
+        let mut fill = vec![unmap; ((rest - n_attr * la) / lu) as usize];
+        fill.extend((0..n_attr).map(|_| attr(0)));
+        let mut inner = fs.inner.lock();
+        fs.append_log(&mut inner, a, &fill).unwrap();
+        let slot = inner.inodes[&a].slot;
+        assert_eq!(
+            (slot.tail_page, u64::from(slot.tail_off)),
+            (tail_page, PAGE)
+        );
+        // One more entry chains a new log page.
+        fs.append_log(&mut inner, a, &[attr(777)]).unwrap();
+        assert_ne!(inner.inodes[&a].slot.tail_page, tail_page);
+        drop(inner);
+        assert_eq!(byte_at(neighbour), 0xAB, "the chain clobbered b's data");
+        drop(fs);
+
+        let fs2 = NovaFs::mount(dev, NovaOptions::default()).unwrap();
+        assert_eq!(fs2.getattr(a).unwrap().size, 777, "a's log replays");
+        let mut buf = vec![0u8; PAGE as usize];
+        fs2.read(b, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0xAB));
     }
 
     #[test]

@@ -116,11 +116,12 @@ fn main() {
         bytes as f64 / (1 << 20) as f64
     );
 
-    // Machine B's own policy now manages the data within its hierarchy.
-    let summary = mux_b.run_policy_migrations();
+    // Machine B's own autotier now manages the data within its hierarchy.
+    clock.advance(mux::AutotierConfig::default().epoch_ns);
+    let report = mux_b.maintenance_tick();
     println!(
-        "machine B ran its own tiering pass: {} plans, {} executed",
-        summary.planned, summary.executed
+        "machine B ran its own autotier epoch: {} plans, {} executed",
+        report.planned, report.executed
     );
 
     // Reads flow transparently across the wire.

@@ -4,8 +4,8 @@
 //! application never thinks about tiers.
 //!
 //! The store appends values to segment files and keeps an in-memory index
-//! `key → (segment, offset, len)`. Mux's LRU policy + migration passes do
-//! the data placement.
+//! `key → (segment, offset, len)`. Mux's LRU placement plus an autotier
+//! epoch do the data placement.
 //!
 //! ```text
 //! cargo run --release --example tiered_kv_store
@@ -104,11 +104,12 @@ fn main() {
         let v = kv.get(key).unwrap();
         assert_eq!(v[0], (key % 251) as u8);
     }
-    // Let the policy rebalance: hot segments promote, cold demote.
-    let summary = fs.run_policy_migrations();
+    // Let one autotier epoch rebalance: hot segments promote, cold demote.
+    clock.advance(mux::AutotierConfig::default().epoch_ns);
+    let report = fs.maintenance_tick();
     println!(
-        "policy migration pass: {} plans, {} executed, {} blocks moved",
-        summary.planned, summary.executed, summary.blocks_moved
+        "autotier epoch: {} plans, {} executed, {} blocks moved",
+        report.planned, report.executed, report.blocks_moved
     );
 
     // Measure hot-key read latency after convergence.

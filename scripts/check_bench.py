@@ -10,6 +10,7 @@ Usage:
   check_bench.py --mirror <current mirror.json> <baseline mirror.json>
   check_bench.py --qos <current qos.json> <baseline qos.json>
   check_bench.py --cluster <current cluster.json> <baseline cluster.json>
+  check_bench.py --policy <current ablation_policy.json> <baseline ablation_policy.json>
   check_bench.py --all [baseline-ref]
 
 `--all` runs every gate in one process against freshly regenerated
@@ -93,6 +94,15 @@ Cluster mode fails (exit 1) if:
   * 4-node efficiency or 1-node throughput regressed by more than
     REGRESSION_TOLERANCE against the committed baseline.
 
+Policy mode (Ablation A3) fails (exit 1) if:
+  * LRU does not hold the whole hot set on PM (hot_on_fast == 1.0), or
+    its average read drifts more than POLICY_LRU_SLACK from
+    POLICY_LRU_READ_NS (the paper's policy must keep its §3.1 result), or
+  * the pinned-to-HDD arm has any hot-set block on PM, or
+  * the average-read order lru < tpfs < hot-cold < pinned-to-HDD breaks, or
+  * any policy's average read moved more than REGRESSION_TOLERANCE
+    (either way) from the committed baseline, or a baseline row is gone.
+
 All numbers are virtual-time (deterministic), so the gates are safe on
 shared CI runners: a failure means the code got worse, not the machine.
 """
@@ -118,6 +128,9 @@ QOS_MIN_UNFENCED_BLOWUP = 3.0  # unfenced starvation must be material
 QOS_MIN_VICTIM_PM = 0.9  # QoS arm: victim blocks that must reach PM
 QOS_MAX_UNFENCED_VICTIM_PM = 0.1  # unfenced arm: victim blocks allowed on PM
 CLUSTER_MIN_SCALING_4N = 0.8  # 4-node aggregate throughput vs ideal linear
+POLICY_LRU_READ_NS = 1825.6  # A3 LRU average read before the planners merged
+POLICY_LRU_SLACK = 0.05  # allowed relative drift of the LRU row from it
+POLICY_ORDER = ["lru", "tpfs", "hot-cold", "pinned-to-hdd (worst case)"]
 
 
 class GateInputError(Exception):
@@ -659,6 +672,65 @@ def cluster_gate(current_path, baseline_path):
     return 0
 
 
+def policy_gate(current_path, baseline_path):
+    cur = {r["policy"]: r for r in load_json(current_path)}
+    base = {r["policy"]: r for r in load_json(baseline_path)}
+
+    failures = []
+
+    missing = [p for p in POLICY_ORDER if p not in cur]
+    if missing:
+        failures.append(f"missing policy rows: {missing}")
+    else:
+        lru = cur["lru"]
+        if lru["hot_on_fast"] != 1.0:
+            failures.append(f"lru hot_on_fast {lru['hot_on_fast']} != 1.0")
+        drift = abs(lru["avg_read_ns"] / POLICY_LRU_READ_NS - 1.0)
+        if drift > POLICY_LRU_SLACK:
+            failures.append(
+                f"lru avg read {lru['avg_read_ns']:.1f} ns is {drift:.1%} "
+                f"off {POLICY_LRU_READ_NS} ns (slack {POLICY_LRU_SLACK:.0%})"
+            )
+        else:
+            print(
+                f"ok lru: {lru['avg_read_ns']:.1f} ns, hot_on_fast "
+                f"{lru['hot_on_fast']}"
+            )
+        pinned = cur[POLICY_ORDER[-1]]
+        if pinned["hot_on_fast"] != 0:
+            failures.append(
+                f"pinned-to-hdd has hot_on_fast {pinned['hot_on_fast']} != 0"
+            )
+        reads = [cur[p]["avg_read_ns"] for p in POLICY_ORDER]
+        if all(a < b for a, b in zip(reads, reads[1:])):
+            print("ok order: " + " < ".join(POLICY_ORDER))
+        else:
+            failures.append(
+                "order broken: "
+                + ", ".join(f"{p} {r:.0f} ns" for p, r in zip(POLICY_ORDER, reads))
+            )
+
+    for name, b in sorted(base.items()):
+        c = cur.get(name)
+        if c is None:
+            failures.append(f"{name}: missing from current results")
+            continue
+        ratio = c["avg_read_ns"] / b["avg_read_ns"]
+        if abs(ratio - 1.0) > REGRESSION_TOLERANCE:
+            failures.append(
+                f"{name}: avg read {c['avg_read_ns']:.1f} ns vs baseline "
+                f"{b['avg_read_ns']:.1f} ({ratio:.2f}x)"
+            )
+
+    if failures:
+        print("\nPOLICY GATE FAILED:")
+        for f_ in failures:
+            print(f"  {f_}")
+        return 1
+    print("policy gate passed")
+    return 0
+
+
 def key(cell):
     return (cell["config"], cell["mix"], cell["threads"])
 
@@ -730,6 +802,7 @@ ALL_GATES = [
     ("mirror", mirror_gate, "bench_results/mirror.json", "mirror"),
     ("qos", qos_gate, "bench_results/qos.json", "qos"),
     ("cluster", cluster_gate, "bench_results/cluster.json", "cluster"),
+    ("policy", policy_gate, "bench_results/ablation_policy.json", "ablation_policy"),
 ]
 
 
@@ -772,6 +845,7 @@ MODES = {
     "--mirror": mirror_gate,
     "--qos": qos_gate,
     "--cluster": cluster_gate,
+    "--policy": policy_gate,
 }
 
 

@@ -15,7 +15,7 @@
 //!         {"name": "ssd", "device": {"profile": "nvme_ssd", "capacity_mib": 256}, "fs": "xefs"},
 //!         {"name": "hdd", "device": {"profile": "hdd", "capacity_mib": 1024}, "fs": "e4fs"}
 //!     ],
-//!     "policy": {"kind": "lru", "low_watermark": 0.7, "high_watermark": 0.9},
+//!     "policy": {"kind": "lru", "high_watermark": 0.9},
 //!     "metafile_tier": 0
 //! }"#).unwrap();
 //! let built = mux_repro::config::build(&spec).unwrap();
@@ -97,11 +97,11 @@ pub struct TierSpec {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum PolicySpec {
-    /// The paper's LRU policy.
+    /// The paper's LRU policy. Demotion watermarks are the autotier's
+    /// (`MuxOptions::autotier`); a `low_watermark` key left over from
+    /// older specs is ignored.
     Lru {
-        /// Demote-until utilization.
-        low_watermark: f64,
-        /// Demote-above utilization.
+        /// Place below the fastest tier at or above this utilization.
         high_watermark: f64,
     },
     /// TPFS-style size/synchronicity placement.
@@ -123,10 +123,7 @@ pub enum PolicySpec {
 impl PolicySpec {
     fn policy(&self) -> Arc<dyn TieringPolicy> {
         match *self {
-            PolicySpec::Lru {
-                low_watermark,
-                high_watermark,
-            } => Arc::new(LruPolicy::new(low_watermark, high_watermark)),
+            PolicySpec::Lru { high_watermark } => Arc::new(LruPolicy::new(high_watermark)),
             PolicySpec::Tpfs => Arc::new(TpfsPolicy::default()),
             PolicySpec::HotCold => Arc::new(HotColdPolicy::new()),
             PolicySpec::Pinned { tier } => Arc::new(PinnedPolicy::new(tier)),

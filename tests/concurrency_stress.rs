@@ -1,5 +1,5 @@
 //! Concurrency stress over the full stack: many threads, many files,
-//! reads + writes + migrations + policy passes all racing.
+//! reads + writes + migrations + autotier epochs all racing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -94,8 +94,7 @@ fn concurrent_migration_of_same_file_is_rejected_not_corrupted() {
 
 #[test]
 fn readers_writers_and_policy_passes_race_safely() {
-    let (mux, _clock, _devs) = mux_repro::default_hierarchy(32 << 20, 256 << 20, 1 << 30);
-    let mux = Arc::new(mux);
+    let (mux, clock, _devs) = mux_repro::default_hierarchy(32 << 20, 256 << 20, 1 << 30);
     let n_files = 8u64;
     let blocks = 16u64;
     let mut inos = Vec::new();
@@ -150,9 +149,10 @@ fn readers_writers_and_policy_passes_race_safely() {
             }
         }));
     }
-    // The policy engine churns placements underneath everyone.
+    // Autotier epochs churn placements underneath everyone.
     for _ in 0..12 {
-        mux.run_policy_migrations();
+        clock.advance(mux::AutotierConfig::default().epoch_ns);
+        mux.maintenance_tick();
     }
     stop.store(true, Ordering::Relaxed);
     for h in handles {

@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use mux::{LruPolicy, Mux, MuxOptions, PinnedPolicy, StripingPolicy, TierConfig, BLOCK};
+use mux::{
+    AutotierConfig, LruPolicy, Mux, MuxOptions, PinnedPolicy, StripingPolicy, TierConfig, BLOCK,
+};
 use simdev::{DeviceClass, VirtualClock};
 use tvfs::{FileSystem, FileType, OpenFlags, Vfs, ROOT_INO};
 use workloads::{pattern_at, pattern_check, UniformRandom};
@@ -353,7 +355,7 @@ fn tier_added_and_removed_at_runtime_over_real_fs() {
 
 #[test]
 fn policy_migration_pass_respects_capacity_pressure() {
-    // Small PM tier fills; the LRU policy demotes through Mux onto the
+    // Small PM tier fills; an autotier epoch demotes through Mux onto the
     // real SSD file system.
     let clock = VirtualClock::new();
     let pm = simdev::Device::with_profile(simdev::pmem(), 8 << 20, clock.clone());
@@ -361,7 +363,7 @@ fn policy_migration_pass_respects_capacity_pressure() {
     let nova = Arc::new(novafs::NovaFs::format(pm, novafs::NovaOptions::default()).unwrap());
     let xe = Arc::new(xefs::XeFs::format(ssd, xefs::XeOptions::default()).unwrap());
     let mux = Mux::new(
-        clock,
+        clock.clone(),
         Arc::new(LruPolicy::default_watermarks()),
         MuxOptions::default(),
     );
@@ -389,9 +391,10 @@ fn policy_migration_pass_respects_capacity_pressure() {
         inos.push(f.ino);
     }
     let before = mux.tier_status();
-    let summary = mux.run_policy_migrations();
+    clock.advance(AutotierConfig::default().epoch_ns);
+    let report = mux.maintenance_tick();
     let after = mux.tier_status();
-    assert!(summary.executed > 0, "pressure must trigger demotion");
+    assert!(report.executed > 0, "pressure must trigger demotion");
     let pm_before = before.iter().find(|t| t.name == "pm").unwrap().free_bytes;
     let pm_after = after.iter().find(|t| t.name == "pm").unwrap().free_bytes;
     assert!(pm_after > pm_before, "demotion must free PM space");
